@@ -77,12 +77,9 @@ type daemonConfig struct {
 	admitTarget      time.Duration
 	pprofAddr        string
 	wireDelta        bool
-	wireWritev       bool
 	wireHello        bool
 	wireWindow       int64
 	egressBudget     int64
-	flushDelay       time.Duration
-	flushDelayMax    time.Duration
 	chaosDrop        float64
 	chaosDup         float64
 	chaosDelay       time.Duration
@@ -112,12 +109,9 @@ func main() {
 	flag.DurationVar(&cfg.admitTarget, "admit-target", 0, "adaptive policy's grant-latency target; its self-tuned bound sheds client acquires that cannot meet it (0 = built-in default; other policies ignore it)")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	flag.BoolVar(&cfg.wireDelta, "wire-delta", true, "delta-encode token state on peer connections; every daemon of the cluster must run a delta-aware build (pass =false to interoperate with pre-delta peers)")
-	flag.BoolVar(&cfg.wireWritev, "wire-writev", true, "vectored (writev) egress for batched peer frames")
 	flag.BoolVar(&cfg.wireHello, "wire-hello", true, "send the connection hello on dialed peer links (negotiates features and flow-control windows; pass =false to mimic a pre-negotiation build)")
 	flag.Int64Var(&cfg.wireWindow, "wire-window", 0, "receive window in bytes announced to peers (0 = default, negative = disable crediting)")
 	flag.Int64Var(&cfg.egressBudget, "egress-budget", 0, "client-port response bytes queued per connection before the client is shed (0 = default, negative = unbounded)")
-	flag.DurationVar(&cfg.flushDelay, "flush-delay", 0, "egress micro-delay before each peer flush, trading bounded latency for bigger batches (0 = flush on wakeup)")
-	flag.DurationVar(&cfg.flushDelayMax, "flush-delay-max", 0, "> flush-delay enables adaptive widening of the flush delay under high fan-in")
 	flag.Float64Var(&cfg.chaosDrop, "chaos-drop", 0, "fault injection: probability in [0,1] of dropping each outgoing peer message")
 	flag.Float64Var(&cfg.chaosDup, "chaos-dup", 0, "fault injection: probability in [0,1] of duplicating each outgoing peer message (breaks the no-duplication hypothesis — expect safety-only behavior)")
 	flag.DurationVar(&cfg.chaosDelay, "chaos-delay", 0, "fault injection: minimum extra delay per outgoing peer message")
@@ -283,12 +277,9 @@ func run(cfg daemonConfig) error {
 		AdmitTarget:        cfg.admitTarget,
 		Tick:               tick,
 		Wire: transport.WireOptions{
-			Delta:         cfg.wireDelta,
-			NoVectored:    !cfg.wireWritev,
-			NoHello:       !cfg.wireHello,
-			Window:        cfg.wireWindow,
-			FlushDelay:    cfg.flushDelay,
-			FlushDelayMax: cfg.flushDelayMax,
+			Delta:   cfg.wireDelta,
+			NoHello: !cfg.wireHello,
+			Window:  cfg.wireWindow,
 		},
 	}, factory)
 	if err != nil {

@@ -36,7 +36,7 @@ func backpressureScenario(budget int64, delay time.Duration) Scenario {
 	s := Scenario{Name: fmt.Sprintf("backpressure/stall/b%dk", budget>>10)}
 	s.Run = func(b *testing.B) {
 		sink := &slowSink{delay: delay}
-		co := wire.NewCoalescer(sink, 0, func(error) {})
+		co := wire.NewCoalescer(sink, func(error) {})
 		co.SetByteBudget(budget)
 		payload := make([]byte, frameLen)
 		b.ReportAllocs()

@@ -23,7 +23,13 @@
 // critical section but its INQUIRE is still in flight). When the holder
 // itself re-registers for that resource it must yield the held token to
 // p's incoming INQUIRE — p precedes it in the chain — and queue behind p
-// via its own INQUIRE. The mustYield flag implements exactly that.
+// via its own INQUIRE. The mustYield flag implements exactly that. The
+// site's new registration can draw an INQUIRE of its own from a later
+// registrant, and over links that are FIFO only per pair that one may
+// arrive first; yielding to it would skip p's whole chain and deadlock.
+// Each INQUIRE therefore names the registration it asks about (the
+// control token numbers every registration of a resource), and only
+// the one naming the earlier registration takes the promised token.
 package bouabdallah
 
 import (
@@ -37,16 +43,18 @@ import (
 
 // ControlToken is the payload riding the Naimi–Tréhel token: per
 // resource, either the resource token itself (HasToken) or the latest
-// registered requester (Last).
+// registered requester (Last), and the number of registrations so far
+// (Seq) — Seq[r] is the number of Last[r]'s registration.
 type ControlToken struct {
 	HasToken []bool
 	Last     []network.NodeID
+	Seq      []uint64
 }
 
 // NewControlToken builds the initial control token: every resource
 // token starts inside it.
 func NewControlToken(m int) *ControlToken {
-	ct := &ControlToken{HasToken: make([]bool, m), Last: make([]network.NodeID, m)}
+	ct := &ControlToken{HasToken: make([]bool, m), Last: make([]network.NodeID, m), Seq: make([]uint64, m)}
 	for r := 0; r < m; r++ {
 		ct.HasToken[r] = true
 		ct.Last[r] = network.None
@@ -66,8 +74,12 @@ func (w ctWire) Kind() string {
 }
 
 // inquireMsg asks the latest requester of r to forward the resource
-// token once it is done with it.
-type inquireMsg struct{ R resource.ID }
+// token once it is done with it. Seq names the target's registration
+// the request queues behind.
+type inquireMsg struct {
+	R   resource.ID
+	Seq uint64
+}
 
 // Kind implements network.Message.
 func (inquireMsg) Kind() string { return "BL.Inquire" }
@@ -98,9 +110,11 @@ type Node struct {
 
 	// nextHolder[r] is the site whose INQUIRE for r was deferred until
 	// our release; mustYield[r] marks a held token promised to an
-	// INQUIRE that has not arrived yet (see the package comment).
+	// INQUIRE that has not arrived yet (see the package comment); reg[r]
+	// is the number of our latest registration for r.
 	nextHolder []network.NodeID
 	mustYield  []bool
+	reg        []uint64
 }
 
 // NewFactory returns the factory for driver.Run. Site 0 initially holds
@@ -126,6 +140,7 @@ func (nd *Node) Attach(env alg.Env) {
 		nd.nextHolder[r] = network.None
 	}
 	nd.mustYield = make([]bool, m)
+	nd.reg = make([]uint64, m)
 	send := func(to network.NodeID, msg naimitrehel.Msg) { env.Send(to, ctWire{msg}) }
 	nd.nt = naimitrehel.New(env.ID(), 0, NewControlToken(m), send, nd.onControlToken)
 }
@@ -158,7 +173,7 @@ func (nd *Node) onControlToken(payload any) {
 			}
 		default:
 			prev := ct.Last[r]
-			nd.env.Send(prev, inquireMsg{R: r})
+			nd.env.Send(prev, inquireMsg{R: r, Seq: ct.Seq[r]})
 			if nd.holding.Has(r) {
 				// prev registered before us and is claiming the token
 				// we still hold; yield to its INQUIRE and queue behind
@@ -171,6 +186,8 @@ func (nd *Node) onControlToken(payload any) {
 				}
 			}
 		}
+		ct.Seq[r]++
+		nd.reg[r] = ct.Seq[r]
 		ct.Last[r] = self
 	})
 	nd.st = collecting
@@ -232,7 +249,7 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 	case ctWire:
 		nd.nt.Deliver(msg.M)
 	case inquireMsg:
-		nd.onInquire(from, msg.R)
+		nd.onInquire(from, msg.R, msg.Seq)
 	case resTokenMsg:
 		nd.onResourceToken(msg.R)
 	default:
@@ -240,8 +257,13 @@ func (nd *Node) Deliver(from network.NodeID, m network.Message) {
 	}
 }
 
-func (nd *Node) onInquire(from network.NodeID, r resource.ID) {
-	if nd.holding.Has(r) && (nd.st == idle || !nd.want.Has(r) || nd.mustYield[r]) {
+// onInquire serves an INQUIRE for r queued behind our registration
+// number seq. One naming an earlier registration than our latest comes
+// from a site that precedes our current request in r's chain: the
+// held token is promised to it (mustYield).
+func (nd *Node) onInquire(from network.NodeID, r resource.ID, seq uint64) {
+	earlier := seq != nd.reg[r]
+	if nd.holding.Has(r) && (nd.st == idle || !nd.want.Has(r) || earlier) {
 		nd.mustYield[r] = false
 		nd.sendResource(from, r)
 		return

@@ -10,14 +10,18 @@ import (
 // Wire codecs for the three Bouabdallah–Laforest message kinds. The
 // control token rides the Naimi–Tréhel token payload, so ctWire's two
 // Kind faces (request/token) share one codec and the token face
-// serializes the full per-resource HasToken/Last vector.
+// serializes the full per-resource HasToken/Last/Seq vector.
 
 func init() {
 	wire.Register("BL.CTRequest", encCTWire, decCTWire)
 	wire.Register("BL.CTToken", encCTWire, decCTWire)
 	wire.Register("BL.Inquire",
-		func(e *wire.Enc, m network.Message) { e.Varint(int64(m.(inquireMsg).R)) },
-		func(d *wire.Dec) network.Message { return inquireMsg{R: decResID(d)} })
+		func(e *wire.Enc, m network.Message) {
+			q := m.(inquireMsg)
+			e.Varint(int64(q.R))
+			e.Uvarint(q.Seq)
+		},
+		func(d *wire.Dec) network.Message { return inquireMsg{R: decResID(d), Seq: d.Uvarint()} })
 	wire.Register("BL.ResToken",
 		func(e *wire.Enc, m network.Message) { e.Varint(int64(m.(resTokenMsg).R)) },
 		func(d *wire.Dec) network.Message { return resTokenMsg{R: decResID(d)} })
@@ -25,12 +29,14 @@ func init() {
 	ct := NewControlToken(6)
 	ct.HasToken[1] = false
 	ct.Last[1] = 3
+	ct.Seq[1] = 2
 	ct.HasToken[4] = false
 	ct.Last[4] = 0
+	ct.Seq[4] = 300
 	wire.RegisterSamples(
 		ctWire{M: naimitrehel.Msg{Type: naimitrehel.MsgRequest, Requester: 5}},
 		ctWire{M: naimitrehel.Msg{Type: naimitrehel.MsgToken, Payload: ct}},
-		inquireMsg{R: 7},
+		inquireMsg{R: 7, Seq: 4},
 		resTokenMsg{R: 2},
 	)
 }
@@ -50,6 +56,7 @@ func encCTWire(e *wire.Enc, m network.Message) {
 	for r := range ct.HasToken {
 		e.Bool(ct.HasToken[r])
 		e.Node(ct.Last[r])
+		e.Uvarint(ct.Seq[r])
 	}
 }
 
@@ -76,16 +83,18 @@ func decCTWire(d *wire.Dec) network.Message {
 		d.Fail("control token of %d entries in a cluster of %d resources", n, m)
 		return w
 	}
-	if !d.Charge(n * 9) { // one bool + one NodeID per resource
+	if !d.Charge(n * 17) { // one bool + one NodeID + one uint64 per resource
 		return w
 	}
 	ct := &ControlToken{
 		HasToken: make([]bool, n),
 		Last:     make([]network.NodeID, n),
+		Seq:      make([]uint64, n),
 	}
 	for r := 0; r < n; r++ {
 		ct.HasToken[r] = d.Bool()
 		ct.Last[r] = d.Node()
+		ct.Seq[r] = d.Uvarint()
 	}
 	w.M.Payload = ct
 	return w

@@ -152,3 +152,62 @@ func TestMustYieldTokenNotUsableUntilYielded(t *testing.T) {
 		t.Fatal("h starved after yielding to w")
 	}
 }
+
+// TestMustYieldServesOnlyTheEarlierInquire pins the liveness half of
+// the mustYield rule. h holds r from its first critical section when x
+// registers (x's INQUIRE to h is slow), then h re-registers behind x
+// — mustYield — and s registers behind h. s's INQUIRE to h overtakes
+// x's. Yielding the promised token to whichever INQUIRE lands first
+// hands it to s: x then waits on h, h on x, and s keeps r idle — the
+// stall TestVerifiedStress hit on bouabdallah over TCP. The token must
+// go to x, and every site must get its turn in chain order x, h, s.
+func TestMustYieldServesOnlyTheEarlierInquire(t *testing.T) {
+	const n, m = 3, 2
+	const x, h, s = 0, 1, 2 // x is also the control token's first root
+	nodes := NewFactory()(n, m)
+	net := &scriptNet{t: t, nodes: nodes, inCS: make([]bool, n)}
+	for i, nd := range nodes {
+		nd.Attach(&scriptEnv{net: net, id: network.NodeID(i), n: n, m: m})
+	}
+	r := resource.FromIDs(m, 0)
+	slow := func(msg scriptMsg) bool { return isInquire(msg) && msg.from == x && msg.to == h }
+	release := func(id int) {
+		t.Helper()
+		if !net.inCS[id] {
+			t.Fatalf("site %d not in its CS", id)
+		}
+		net.inCS[id] = false
+		nodes[id].Release()
+	}
+
+	// h's first critical section on r; it keeps the token afterwards.
+	nodes[h].Request(r.Clone())
+	net.drain(slow)
+	// x registers behind h; its INQUIRE to h stays in flight.
+	nodes[x].Request(r.Clone())
+	net.drain(slow)
+	release(h)
+	// s passes through on the other resource, so the control token
+	// reaches h by way of s rather than over the slow x→h link.
+	nodes[s].Request(resource.FromIDs(m, 1))
+	net.drain(slow)
+	release(s)
+	// h re-registers behind x while still holding r: mustYield.
+	nodes[h].Request(r.Clone())
+	net.drain(slow)
+	// s registers behind h; its INQUIRE reaches h before x's.
+	nodes[s].Request(r.Clone())
+	net.drain(slow)
+	if net.inCS[s] || net.inCS[h] {
+		t.Fatal("the token promised to x went to a later registrant")
+	}
+
+	net.drain(nil)
+	for _, id := range []int{x, h, s} {
+		if !net.inCS[id] {
+			t.Fatalf("site %d never entered: the chain x, h, s is wedged", id)
+		}
+		release(id)
+		net.drain(nil)
+	}
+}

@@ -100,8 +100,7 @@ type Config struct {
 	Tick time.Duration
 	// Wire tunes the egress wire path of a tunable Transport
 	// (transport.WireTuner — the TCP fabric): delta-encoded token
-	// state, vectored writes, flush scheduling, handshake and window
-	// knobs. Fabrics without the knobs (Mem) ignore it. Applied before
+	// state, handshake and window knobs. Fabrics without the knobs (Mem) ignore it. Applied before
 	// any node attaches, so it covers every connection the cluster
 	// dials; the zero value leaves the transport exactly as handed in,
 	// so pre-tuned endpoints keep their settings.

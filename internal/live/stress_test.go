@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +54,9 @@ type system struct {
 	session func(node int) (*Session, error)
 	stats   func() map[string]int64
 	close   func()
+	// cluster resolves the cluster instance hosting a node, for state
+	// dumps of a stalled run.
+	cluster func(node int) *Cluster
 }
 
 func memFabric() fabric {
@@ -60,7 +65,8 @@ func memFabric() fabric {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &system{acquire: c.Acquire, session: c.NewSession, stats: c.Stats, close: c.Close}
+		return &system{acquire: c.Acquire, session: c.NewSession, stats: c.Stats, close: c.Close,
+			cluster: func(int) *Cluster { return c }}
 	}}
 }
 
@@ -77,7 +83,8 @@ func shardedMemFabric(g int, twoPhase bool) fabric {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &system{acquire: c.Acquire, session: c.NewSession, stats: c.Stats, close: c.Close}
+		return &system{acquire: c.Acquire, session: c.NewSession, stats: c.Stats, close: c.Close,
+			cluster: func(int) *Cluster { return c }}
 	}}
 }
 
@@ -86,35 +93,32 @@ func shardedMemFabric(g int, twoPhase bool) fabric {
 // stand-in for one OS process, every message through the wire codec.
 func tcpFabric() fabric { return tcpWireFabric("tcp", nil) }
 
-// tcpDeltaFabric is tcpFabric with the whole payload-path armory on:
-// delta-encoded token state, vectored egress, and an adaptive flush
-// delay — the invariant battery must hold bit-exact protocol behavior
-// under all of them.
+// tcpDeltaFabric is tcpFabric with delta-encoded token state on every
+// link — the invariant battery must hold bit-exact protocol behavior
+// under it.
 func tcpDeltaFabric() fabric {
-	return tcpWireFabric("tcp-delta", func(int) transport.WireOptions {
-		return transport.WireOptions{
-			Delta:         true,
-			FlushDelay:    50 * time.Microsecond,
-			FlushDelayMax: 2 * time.Millisecond,
-		}
+	return tcpWireFabric("tcp-delta", func(int) tcpNodeConfig {
+		return tcpNodeConfig{wire: transport.WireOptions{Delta: true}}
 	})
 }
 
-// tcpHeteroFabric mixes builds: even nodes run the full feature set
-// (delta, vectored egress, adaptive flush), odd nodes a feature-
-// disabled build. Every cross-parity link must negotiate down to the
-// common subset in its hello exchange, and the invariant battery must
-// hold over the mixture.
+// heteroLinkDelay is the delay-only fault profile on the outgoing
+// links of tcp-hetero's even nodes: messages are late, never lost, so
+// every transport guarantee still holds while each link pair runs
+// asymmetric — the timing under which a comparator bug once surfaced.
+var heteroLinkDelay = transport.Faults{DelayMin: 50 * time.Microsecond, DelayMax: 2 * time.Millisecond}
+
+// tcpHeteroFabric mixes builds and link timings: even nodes run delta
+// tokens and send over delayed links, odd nodes a feature-disabled
+// build on undelayed links. Every cross-parity link must negotiate
+// down to the common subset in its hello exchange, and the invariant
+// battery must hold over the mixture.
 func tcpHeteroFabric() fabric {
-	return tcpWireFabric("tcp-hetero", func(i int) transport.WireOptions {
+	return tcpWireFabric("tcp-hetero", func(i int) tcpNodeConfig {
 		if i%2 == 0 {
-			return transport.WireOptions{
-				Delta:         true,
-				FlushDelay:    50 * time.Microsecond,
-				FlushDelayMax: 2 * time.Millisecond,
-			}
+			return tcpNodeConfig{wire: transport.WireOptions{Delta: true}, delay: heteroLinkDelay}
 		}
-		return transport.WireOptions{NoVectored: true}
+		return tcpNodeConfig{}
 	})
 }
 
@@ -125,13 +129,21 @@ func tcpShardedFabric(g int) fabric {
 	return tcpShardedWireFabric(fmt.Sprintf("tcp-sharded-g%d", g), g, nil)
 }
 
-// tcpWireFabric builds the per-node TCP topology with wireFor(i)
-// tuning node i's endpoint (nil leaves every endpoint at defaults).
-func tcpWireFabric(name string, wireFor func(i int) transport.WireOptions) fabric {
-	return tcpShardedWireFabric(name, 0, wireFor)
+// tcpNodeConfig tunes one node's endpoint of a per-node TCP fabric:
+// its wire options and, when non-zero, delay-only faults on each of
+// its outgoing links (the endpoint is then wrapped in transport.Chaos).
+type tcpNodeConfig struct {
+	wire  transport.WireOptions
+	delay transport.Faults
 }
 
-func tcpShardedWireFabric(name string, shards int, wireFor func(i int) transport.WireOptions) fabric {
+// tcpWireFabric builds the per-node TCP topology with nodeFor(i)
+// tuning node i's endpoint (nil leaves every endpoint at defaults).
+func tcpWireFabric(name string, nodeFor func(i int) tcpNodeConfig) fabric {
+	return tcpShardedWireFabric(name, 0, nodeFor)
+}
+
+func tcpShardedWireFabric(name string, shards int, nodeFor func(i int) tcpNodeConfig) fabric {
 	return fabric{name: name, buildPolicy: func(t *testing.T, n, m int, f alg.Factory, p serve.Policy, aging time.Duration) *system {
 		trs := make([]*transport.TCP, n)
 		addrs := make([]string, n)
@@ -148,11 +160,21 @@ func tcpShardedWireFabric(name string, shards int, wireFor func(i int) transport
 			if err := trs[i].Connect(addrs); err != nil {
 				t.Fatal(err)
 			}
-			var wire transport.WireOptions
-			if wireFor != nil {
-				wire = wireFor(i)
+			var cfg tcpNodeConfig
+			if nodeFor != nil {
+				cfg = nodeFor(i)
 			}
-			c, err := New(Config{Nodes: n, Resources: m, Transport: trs[i], Local: []int{i}, Policy: p, Aging: aging, Wire: wire, Shards: shards}, f)
+			var tr transport.Transport = trs[i]
+			if cfg.delay != (transport.Faults{}) {
+				ch := transport.NewChaos(trs[i], int64(i))
+				for to := 0; to < n; to++ {
+					if to != i {
+						ch.SetLinkFaults(network.NodeID(i), network.NodeID(to), cfg.delay)
+					}
+				}
+				tr = ch
+			}
+			c, err := New(Config{Nodes: n, Resources: m, Transport: tr, Local: []int{i}, Policy: p, Aging: aging, Wire: cfg.wire, Shards: shards}, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,6 +201,7 @@ func tcpShardedWireFabric(name string, shards int, wireFor func(i int) transport
 					c.Close()
 				}
 			},
+			cluster: func(node int) *Cluster { return cs[node] },
 		}
 	}}
 }
@@ -225,6 +248,37 @@ func runVerifiedStress(t *testing.T, fb fabric, factory alg.Factory) {
 		t.Errorf("%v", v)
 	})
 
+	// Stall watchdog: a healthy run grants every few milliseconds, so
+	// stallWindow without a grant means a wedged cluster. Fail at once
+	// with the per-node state instead of waiting out each acquire's
+	// deadline; cancelling root unwinds every blocked acquire.
+	root, stop := context.WithCancel(context.Background())
+	var lastGrant atomic.Int64
+	lastGrant.Store(time.Now().UnixNano())
+	watchdogDone := make(chan struct{})
+	go func() {
+		defer close(watchdogDone)
+		tick := time.NewTicker(stallWindow / 20)
+		defer tick.Stop()
+		for {
+			select {
+			case <-root.Done():
+				return
+			case <-tick.C:
+			}
+			if idle := time.Since(time.Unix(0, lastGrant.Load())); idle >= stallWindow {
+				monMu.Lock()
+				grants := mon.Grants()
+				monMu.Unlock()
+				t.Errorf("stalled: no grant for %v (%d of %d grants); per-node state:\n%s",
+					idle.Round(time.Millisecond), grants, n*iters, dumpStall(sys, n))
+				stop()
+				return
+			}
+		}
+	}()
+	defer func() { stop(); <-watchdogDone }()
+
 	var wg sync.WaitGroup
 	for node := 0; node < n; node++ {
 		node := node
@@ -241,13 +295,14 @@ func runVerifiedStress(t *testing.T, fb fabric, factory alg.Factory) {
 				mon.Requested(network.NodeID(node), now())
 				monMu.Unlock()
 
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+				ctx, cancel := context.WithTimeout(root, 2*time.Minute)
 				release, err := sys.acquire(ctx, node, ids...)
 				cancel()
 				if err != nil {
 					t.Errorf("node %d iter %d: acquire %v: %v (liveness)", node, i, ids, err)
 					return
 				}
+				lastGrant.Store(time.Now().UnixNano())
 				monMu.Lock()
 				mon.Granted(network.NodeID(node), rs, now())
 				monMu.Unlock()
@@ -264,6 +319,8 @@ func runVerifiedStress(t *testing.T, fb fabric, factory alg.Factory) {
 		}()
 	}
 	wg.Wait()
+	stop()
+	<-watchdogDone
 
 	monMu.Lock()
 	defer monMu.Unlock()
@@ -278,6 +335,47 @@ func runVerifiedStress(t *testing.T, fb fabric, factory alg.Factory) {
 	if total == 0 {
 		t.Error("no protocol messages counted")
 	}
+}
+
+// stallWindow is how long the verified-stress battery tolerates a
+// cluster granting nothing before it fails the run as stalled.
+const stallWindow = 5 * time.Second
+
+// dumpStall describes every node of a stalled system: its admission
+// queue length and, per shard, its protocol state (counters for the
+// counter algorithms, the raw node state otherwise). Each node gets a
+// bounded wait, so a wedged event loop shows up as unresponsive rather
+// than hanging the dump.
+func dumpStall(sys *system, n int) string {
+	var sb strings.Builder
+	for node := 0; node < n; node++ {
+		out := make(chan string, 1)
+		go func(node int) {
+			c := sys.cluster(node)
+			var nb strings.Builder
+			fmt.Fprintf(&nb, "node %d: %d queued for admission\n", node, c.QueueLen(node))
+			for s := 0; s < c.Shards(); s++ {
+				c.InspectShard(s, node, func(nd alg.Node) {
+					state := fmt.Sprintf("%+v", nd)
+					if cn, ok := nd.(*core.Node); ok {
+						state = cn.Counters().String()
+					}
+					if len(state) > 2048 {
+						state = state[:2048] + "…"
+					}
+					fmt.Fprintf(&nb, "  shard %d: %s\n", s, state)
+				})
+			}
+			out <- nb.String()
+		}(node)
+		select {
+		case desc := <-out:
+			sb.WriteString(desc)
+		case <-time.After(time.Second):
+			fmt.Fprintf(&sb, "node %d: event loop unresponsive\n", node)
+		}
+	}
+	return sb.String()
 }
 
 // TestLocalMustMatchTransportHosting: a Local set the transport does

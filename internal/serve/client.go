@@ -77,7 +77,7 @@ func Dial(addr string) (*Client, error) {
 	}
 	// Raw write, ahead of the coalescer's first flush: the hello must
 	// precede every frame, and nothing else is writing yet.
-	mine := wire.Hello{Version: wire.ProtoVersion, Features: wire.FeatWritev}
+	mine := wire.Hello{Version: wire.ProtoVersion}
 	hello := wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, mine))
 	if _, err := nc.Write(hello); err != nil {
 		nc.Close()
@@ -89,7 +89,7 @@ func Dial(addr string) (*Client, error) {
 		pending: make(map[uint64]*clientPending),
 		closed:  make(chan struct{}),
 	}
-	c.co = wire.NewCoalescer(nc, 0, func(err error) {
+	c.co = wire.NewCoalescer(nc, func(err error) {
 		c.fail(fmt.Errorf("%w: write: %v", ErrConnLost, err))
 	})
 	// Byte-bounded egress: a stalled daemon costs blocked Acquires and
@@ -149,22 +149,6 @@ func (c *Client) Close() error {
 // WireStats snapshots the egress counters of the client's coalescing
 // writer (writes, frames, batch envelopes, bytes).
 func (c *Client) WireStats() wire.CoalescerStats { return c.co.Stats() }
-
-// SetBatching toggles request coalescing (on by default). Benchmarks
-// turn it off to measure the pre-batching wire behavior; production
-// has no reason to.
-func (c *Client) SetBatching(on bool) {
-	if on {
-		c.co.SetMaxFrames(0)
-	} else {
-		c.co.SetMaxFrames(1)
-	}
-}
-
-// SetFlushDelay sets the request-egress micro-delay: concurrent
-// Acquires get that long to assemble into one batch envelope before
-// the flush. Zero (the default) flushes on wakeup.
-func (c *Client) SetFlushDelay(d time.Duration) { c.co.SetFlushDelay(d) }
 
 // AnyNode targets no node in particular: the daemon picks one of its
 // hosted nodes round-robin.

@@ -75,18 +75,6 @@ type ServerConfig struct {
 	// policy's denial-rate statistics see sheds that never reach the
 	// node loop (live.Cluster.NoteShed).
 	NoteShed func(node int)
-	// DisableCoalesce pins every response write to a single frame
-	// (no batch envelopes), the pre-batching wire behavior. Benchmarks
-	// use it to measure the batching win; production has no reason to.
-	DisableCoalesce bool
-	// FlushDelay is the response-egress micro-delay: a grant fan-out
-	// burst gets FlushDelay longer to assemble into one batch envelope
-	// before the flush, trading bounded response latency for fewer
-	// writes. Zero (the default) flushes on wakeup. FlushDelayMax,
-	// when above FlushDelay, enables the adaptive scheduler (see
-	// wire.Coalescer.SetFlushAdaptive).
-	FlushDelay    time.Duration
-	FlushDelayMax time.Duration
 	// EgressBudget bounds the response bytes queued for one client
 	// connection; a client not draining them past the bound is shed
 	// (connection closed, grants returned). Zero selects
@@ -247,18 +235,9 @@ type conn struct {
 func (s *Server) serve(nc net.Conn) {
 	defer s.wg.Done()
 	cn := &conn{s: s, c: nc, reqs: make(map[uint64]*connReq)}
-	maxFrames := 0
-	if s.cfg.DisableCoalesce {
-		maxFrames = 1
-	}
 	// A write error marks the connection dead; the read loop notices
 	// and unwinds.
-	cn.co = wire.NewCoalescer(nc, maxFrames, func(error) { nc.Close() })
-	if fd, fdm := s.cfg.FlushDelay, s.cfg.FlushDelayMax; fdm > fd {
-		cn.co.SetFlushAdaptive(fd, fdm)
-	} else if fd > 0 {
-		cn.co.SetFlushDelay(fd)
-	}
+	cn.co = wire.NewCoalescer(nc, func(error) { nc.Close() })
 	s.connsMu.Lock()
 	s.conns[cn] = true
 	s.connsMu.Unlock()
@@ -331,7 +310,6 @@ func (cn *conn) readLoop() {
 				Version:   wire.ProtoVersion,
 				Nodes:     cn.s.cfg.Nodes,
 				Resources: cn.s.cfg.Resources,
-				Features:  wire.FeatWritev,
 			}
 			if cn.s.cfg.Shards > 1 {
 				mine.Shards = cn.s.cfg.Shards

@@ -89,7 +89,7 @@ func tcpPairedFactory(t *testing.T, n int) []transport.Transport {
 
 // tcpHeteroFactory: the tcpPairedFactory topology with endpoint a
 // running every wire feature and endpoint b a feature-disabled build
-// (no delta, no writev) — negotiation must land each link on the
+// (no delta) — negotiation must land each link on the
 // common subset while every transport guarantee still holds.
 func tcpHeteroFactory(t *testing.T, n int) []transport.Transport {
 	eps := tcpPairedFactory(t, n)
@@ -103,7 +103,7 @@ func tcpHeteroFactory(t *testing.T, n int) []transport.Transport {
 	}
 	uniq[0].Tune(transport.WireOptions{Delta: true})
 	if len(uniq) > 1 {
-		uniq[1].Tune(transport.WireOptions{Delta: false, NoVectored: true})
+		uniq[1].Tune(transport.WireOptions{Delta: false})
 	}
 	return eps
 }

@@ -66,8 +66,7 @@ func waitDelivery(t *testing.T, ch <-chan network.Message) network.Message {
 }
 
 // TestHandshakeNegotiates: two same-build endpoints exchange hellos,
-// agree on the full feature set and the default window, and traffic
-// flows.
+// agree on delta tokens and the default window, and traffic flows.
 func TestHandshakeNegotiates(t *testing.T) {
 	a, b := listenPair(t, transport.WireOptions{Delta: true}, transport.WireOptions{Delta: true})
 	got := make(chan network.Message, 1)
@@ -78,8 +77,8 @@ func TestHandshakeNegotiates(t *testing.T) {
 	if !ok {
 		t.Fatal("connection not negotiated")
 	}
-	if peer.Features&wire.FeatDelta == 0 || peer.Features&wire.FeatWritev == 0 {
-		t.Fatalf("peer features %b missing delta or writev", peer.Features)
+	if peer.Features != wire.FeatDelta {
+		t.Fatalf("peer features %b, want exactly delta", peer.Features)
 	}
 	if peer.Window != transport.DefaultWindow {
 		t.Fatalf("peer window %d, want default %d", peer.Window, transport.DefaultWindow)
@@ -98,7 +97,7 @@ func TestHandshakeNegotiates(t *testing.T) {
 func TestHandshakeFeatureIntersection(t *testing.T) {
 	a, b := listenPair(t,
 		transport.WireOptions{Delta: true},
-		transport.WireOptions{Delta: false, NoVectored: true})
+		transport.WireOptions{Delta: false})
 	got := make(chan network.Message, 1)
 	b.Bind(1, func(from network.NodeID, m network.Message) { got <- m })
 	a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 7})
@@ -110,11 +109,8 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 	if !ok {
 		t.Fatal("connection not negotiated")
 	}
-	if peer.Features&wire.FeatDelta != 0 {
-		t.Fatal("feature-disabled peer advertised delta")
-	}
-	if peer.Features&wire.FeatWritev != 0 {
-		t.Fatal("no-writev peer advertised writev")
+	if peer.Features != 0 {
+		t.Fatalf("feature-disabled peer advertised %b", peer.Features)
 	}
 	if err := a.Err(); err != nil {
 		t.Fatal(err)
@@ -122,6 +118,132 @@ func TestHandshakeFeatureIntersection(t *testing.T) {
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// oldFeatures is the feature set older full-featured builds announce:
+// delta plus the retired vectored-egress (2) and flush-delay (4) bits.
+const oldFeatures = wire.FeatDelta | 2 | 4
+
+// TestHandshakeRetiredFeatureBitsIgnored: an older build still sets
+// the retired feature bits. In both directions the link must still
+// negotiate delta tokens, ignore the extra bits, and never announce
+// them back.
+func TestHandshakeRetiredFeatureBitsIgnored(t *testing.T) {
+	t.Run("old dialer", func(t *testing.T) {
+		b, err := transport.ListenTCP("127.0.0.1:0", 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		b.Tune(transport.WireOptions{Delta: true})
+		got := make(chan network.Message, 1)
+		b.Bind(1, func(from network.NodeID, m network.Message) { got <- m })
+		c, err := net.Dial("tcp", b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		h := wire.Hello{Version: wire.ProtoVersion, Nodes: 2, Features: oldFeatures}
+		if _, err := c.Write(wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		ctl, err := wire.ReadControl(bufio.NewReader(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ParseHello(ctl.Payload)
+		if ctl.Code != wire.CtrlHello || err != nil {
+			t.Fatalf("reply control %d (%v), want a hello", ctl.Code, err)
+		}
+		if reply.Intersect(h) != wire.FeatDelta || reply.Features != wire.FeatDelta {
+			t.Fatalf("acceptor announced %b; intersection with %b must be exactly delta", reply.Features, h.Features)
+		}
+		// The old dialer switches on delta tokens and sends a frame.
+		strm := wire.NewStream()
+		strm.SetFlag(wire.CtrlTokenDelta)
+		payload := binary.AppendVarint(nil, 0) // from node 0
+		payload = binary.AppendVarint(payload, 1)
+		payload, err = wire.AppendStream(payload, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 5}, strm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := wire.AppendControl(nil, wire.CtrlTokenDelta, nil)
+		stream = wire.AppendFrame(stream, payload)
+		if _, err := c.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		if m := waitDelivery(t, got); m.(transporttest.Msg).Seq != 5 {
+			t.Fatalf("delivered %#v", m)
+		}
+		if err := b.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("old acceptor", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		type dialed struct {
+			hello wire.Hello
+			first uint64 // code of the first control after the hello
+			err   error
+		}
+		res := make(chan dialed, 1)
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				res <- dialed{err: err}
+				return
+			}
+			defer c.Close()
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			br := bufio.NewReader(c)
+			ctl, err := wire.ReadControl(br)
+			if err != nil {
+				res <- dialed{err: err}
+				return
+			}
+			mine, err := wire.ParseHello(ctl.Payload)
+			if err != nil {
+				res <- dialed{err: err}
+				return
+			}
+			h := wire.Hello{Version: wire.ProtoVersion, Nodes: 2, Features: oldFeatures}
+			if _, err := c.Write(wire.AppendControl(nil, wire.CtrlHello, wire.AppendHello(nil, h))); err != nil {
+				res <- dialed{err: err}
+				return
+			}
+			// A negotiated delta link opens with the delta control.
+			ctl, err = wire.ReadControl(br)
+			res <- dialed{hello: mine, first: ctl.Code, err: err}
+		}()
+		a, err := transport.ListenTCP("127.0.0.1:0", 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		a.Tune(transport.WireOptions{Delta: true})
+		if err := a.Connect([]string{a.Addr(), ln.Addr().String()}); err != nil {
+			t.Fatal(err)
+		}
+		a.Send(0, 1, transporttest.Msg{K: transporttest.KindA, From: 0, Seq: 1})
+		r := <-res
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.hello.Features != wire.FeatDelta {
+			t.Fatalf("dialer announced %b, want exactly delta", r.hello.Features)
+		}
+		if r.first != wire.CtrlTokenDelta {
+			t.Fatalf("first control after the hello is %d, want CtrlTokenDelta: delta was not negotiated", r.first)
+		}
+		if peer, ok := a.Negotiated(ln.Addr().String()); !ok || peer.Features != oldFeatures {
+			t.Fatalf("negotiated %+v (%v)", peer, ok)
+		}
+	})
 }
 
 // TestHandshakeNodesMismatch: a dialer configured for a different

@@ -80,56 +80,15 @@ func (t *Mem) Bind(id network.NodeID, h Handler) {
 	t.binder.bind(id, h)
 }
 
-// Send implements Transport.
+// Send implements Transport: a batch of one on shard 0.
 func (t *Mem) Send(from, to network.NodeID, m network.Message) {
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	t.stats.count(m.Kind())
-	if t.latency <= 0 {
-		t.binder.deliver(to, from, m)
-		return
-	}
-	select {
-	case t.link(from, to) <- linkItem{from: from, m: m}:
-	case <-t.closed:
-		// Closed mid-send: the link's forwarder may be gone; drop.
-	}
+	msgs := [1]network.Message{m}
+	t.send(0, from, to, msgs[:])
 }
 
-// SendBatch implements BatchSender: the run is delivered under one
-// binder-lock acquisition (zero latency) or one delay (latency mode —
-// the batch travels as a unit, like one envelope on a wire). The
-// caller's slice is copied in latency mode, never retained.
+// SendBatch implements BatchSender on shard 0.
 func (t *Mem) SendBatch(from, to network.NodeID, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	for _, m := range msgs {
-		t.stats.count(m.Kind())
-	}
-	if t.latency <= 0 {
-		t.binder.deliverBatch(to, from, msgs)
-		return
-	}
-	cp := append([]network.Message(nil), msgs...)
-	select {
-	case t.link(from, to) <- linkItem{from: from, msgs: cp}:
-	case <-t.closed:
-	}
+	t.send(0, from, to, msgs)
 }
 
 // SetShards implements Sharder. The in-process fabric only needs the
@@ -148,10 +107,13 @@ func (t *Mem) SetShards(sizes []int) {
 	}
 }
 
-// shardBinder resolves the binder of one shard, panicking on a shard
-// the endpoint was never configured for — that is a wiring bug, not a
-// runtime condition.
+// shardBinder resolves the binder of one shard (shard 0 is the legacy
+// binder, configured or not), panicking on a shard the endpoint was
+// never configured for — that is a wiring bug, not a runtime condition.
 func (t *Mem) shardBinder(shard int) *binder {
+	if shard == 0 {
+		return t.binder
+	}
 	t.shardMu.RLock()
 	defer t.shardMu.RUnlock()
 	if shard < 0 || shard >= len(t.shardBinders) {
@@ -166,32 +128,24 @@ func (t *Mem) BindShard(shard int, id network.NodeID, h Handler) {
 }
 
 // SendShard implements Sharder: Send within one shard's namespace.
-// Each (shard, sender, destination) triple is its own FIFO delay link,
-// so shard traffic pipelines instead of queueing behind other shards'
-// latency.
 func (t *Mem) SendShard(shard int, from, to network.NodeID, m network.Message) {
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	b := t.shardBinder(shard)
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	t.stats.count(m.Kind())
-	if t.latency <= 0 {
-		b.deliver(to, from, m)
-		return
-	}
-	select {
-	case t.shardLink(shard, from, to, b) <- linkItem{from: from, m: m}:
-	case <-t.closed:
-	}
+	msgs := [1]network.Message{m}
+	t.send(shard, from, to, msgs[:])
 }
 
 // SendShardBatch implements Sharder.
 func (t *Mem) SendShardBatch(shard int, from, to network.NodeID, msgs []network.Message) {
+	t.send(shard, from, to, msgs)
+}
+
+// send is the one delivery path behind every exported send. A run is
+// delivered under one binder-lock acquisition (zero latency) or one
+// delay (latency mode — the batch travels as a unit, like one envelope
+// on a wire). Each (shard, sender, destination) triple is its own FIFO
+// delay link, so shard traffic pipelines instead of queueing behind
+// other shards' latency. The caller's slice is never retained: a lone
+// message rides its link item by value and a longer run is copied.
+func (t *Mem) send(shard int, from, to network.NodeID, msgs []network.Message) {
 	if len(msgs) == 0 {
 		return
 	}
@@ -211,21 +165,22 @@ func (t *Mem) SendShardBatch(shard int, from, to network.NodeID, msgs []network.
 		b.deliverBatch(to, from, msgs)
 		return
 	}
-	cp := append([]network.Message(nil), msgs...)
+	item := linkItem{from: from}
+	if len(msgs) == 1 {
+		item.m = msgs[0]
+	} else {
+		item.msgs = append([]network.Message(nil), msgs...)
+	}
 	select {
-	case t.shardLink(shard, from, to, b) <- linkItem{from: from, msgs: cp}:
+	case t.shardLink(shard, from, to, b) <- item:
 	case <-t.closed:
+		// Closed mid-send: the link's forwarder may be gone; drop.
 	}
 }
 
-// link returns the delay queue of one ordered pair, starting its
-// forwarding goroutine on first use.
-func (t *Mem) link(from, to network.NodeID) chan linkItem {
-	return t.shardLink(0, from, to, t.binder)
-}
-
-// shardLink is link keyed by (shard, sender, destination), delivering
-// into the shard's binder.
+// shardLink returns the delay queue of one (shard, sender,
+// destination) link, delivering into the shard's binder and starting
+// its forwarding goroutine on first use.
 func (t *Mem) shardLink(shard int, from, to network.NodeID, b *binder) chan linkItem {
 	key := (shard*t.n+int(from))*t.n + int(to)
 	t.linkMu.Lock()

@@ -57,7 +57,7 @@ func (c *shortConn) SetWriteDeadline(time.Time) error { return nil }
 func TestEgressSurvivesShortWrites(t *testing.T) {
 	const n, msgs = 4, 120
 	conn := &shortConn{k: 5}
-	co := wire.NewCoalescer(conn, 0, func(err error) { t.Errorf("write error: %v", err) })
+	co := wire.NewCoalescer(conn, func(err error) { t.Errorf("write error: %v", err) })
 
 	buf := wire.GetFrame(64)
 	for s := int64(1); s <= msgs; s++ {

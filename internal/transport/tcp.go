@@ -88,27 +88,18 @@ type TCP struct {
 	binder *binder
 	stats  kindStats
 
-	// noBatch, when set (SetBatching(false)), pins every coalescing
-	// writer to one frame per flush — the pre-batching wire behavior,
-	// kept selectable so benchmarks can pin the before/after.
-	noBatch atomic.Bool
-
 	// lossRecovered, when set (SetLossRecovery), marks broken writes as
 	// recoverable: a reliability layer above retransmits whatever died
 	// with the connection, so a failed write drops the conn for redial
 	// without poisoning Err — the frame was neither silent nor lost.
 	lossRecovered atomic.Bool
 
-	// Wire tuning (Tune): delta token encoding, vectored egress, flush
-	// scheduling, receive window and hello suppression. Like noBatch,
-	// they apply to connections dialed after the call. Vectored egress
-	// and the hello default on, so noVec and noHello are negated flags.
+	// Wire tuning (Tune): delta token encoding, receive window and
+	// hello suppression. They apply to connections dialed after the
+	// call. The hello defaults on, so noHello is a negated flag.
 	delta   atomic.Bool
-	noVec   atomic.Bool
 	noHello atomic.Bool
 	tuneMu  sync.Mutex
-	fDelay  time.Duration
-	fDelayM time.Duration
 	window  int64
 	dialWin time.Duration // 0 = defaultDialWindow
 
@@ -261,23 +252,13 @@ func (t *TCP) shardConfig() (sizes []int, binders []*binder) {
 	return t.shardSizes, t.shardBinders
 }
 
-// SetBatching toggles egress coalescing (on by default). Turning it
-// off pins every flush to a single frame — the pre-batching wire
-// behavior — so benchmarks can measure the batching win on identical
-// workloads. It only affects connections dialed after the call, so
-// set it before the first Send.
-func (t *TCP) SetBatching(on bool) { t.noBatch.Store(!on) }
-
-// Tune implements WireTuner: delta token encoding, vectored egress,
-// flush scheduling, receive window and hello suppression for the
-// coalescing writers. Like SetBatching it only affects connections
-// dialed after the call — set it before the first Send.
+// Tune implements WireTuner: delta token encoding, receive window and
+// hello suppression for the coalescing writers. It only affects
+// connections dialed after the call — set it before the first Send.
 func (t *TCP) Tune(o WireOptions) {
 	t.delta.Store(o.Delta)
-	t.noVec.Store(o.NoVectored)
 	t.noHello.Store(o.NoHello)
 	t.tuneMu.Lock()
-	t.fDelay, t.fDelayM = o.FlushDelay, o.FlushDelayMax
 	t.window = o.Window
 	t.tuneMu.Unlock()
 }
@@ -294,15 +275,9 @@ func (t *TCP) localHello() wire.Hello {
 	if t.delta.Load() {
 		feat |= wire.FeatDelta
 	}
-	if !t.noVec.Load() {
-		feat |= wire.FeatWritev
-	}
 	t.tuneMu.Lock()
-	fd, fdm, win := t.fDelay, t.fDelayM, t.window
+	win := t.window
 	t.tuneMu.Unlock()
-	if fd > 0 || fdm > 0 {
-		feat |= wire.FeatFlushDelay
-	}
 	return wire.Hello{
 		Version:   wire.ProtoVersion,
 		Nodes:     t.n,
@@ -432,51 +407,37 @@ func (oc *outConn) shardStream(shard int) *wire.Stream {
 	return oc.strms[shard]
 }
 
+// Send implements Transport: a batch of one on shard 0.
+func (t *TCP) Send(from, to network.NodeID, m network.Message) {
+	msgs := [1]network.Message{m}
+	t.send(0, from, to, msgs[:])
+}
+
+// SendBatch implements BatchSender on shard 0.
+func (t *TCP) SendBatch(from, to network.NodeID, msgs []network.Message) {
+	t.send(0, from, to, msgs)
+}
+
 // SendShard implements Sharder: Send within one shard's namespace.
-// Shard 0 is exactly Send — untagged legacy frames; shards above ride
-// a shard tag ahead of the unchanged frame header.
 func (t *TCP) SendShard(shard int, from, to network.NodeID, m network.Message) {
-	if shard == 0 {
-		t.Send(from, to, m)
-		return
-	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	b := t.shardBinderFor(shard)
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	t.stats.count(m.Kind())
-	if t.local[to] {
-		b.deliver(to, from, m)
-		return
-	}
-	oc := t.connFor(to)
-	if oc == nil {
-		return
-	}
-	buf := wire.GetFrame(256)[:wire.FrameDataOff]
-	buf = wire.AppendShardTag(buf, shard)
-	buf = binary.AppendVarint(buf, int64(from))
-	buf = binary.AppendVarint(buf, int64(to))
-	frame, err := wire.AppendStream(buf, m, oc.shardStream(shard))
-	if err != nil {
-		wire.ReleaseFrame(frame)
-		t.fail(err)
-		return
-	}
-	oc.co.AppendOwned(frame, wire.FinishFrame(frame))
+	msgs := [1]network.Message{m}
+	t.send(shard, from, to, msgs[:])
 }
 
 // SendShardBatch implements Sharder.
 func (t *TCP) SendShardBatch(shard int, from, to network.NodeID, msgs []network.Message) {
-	if shard == 0 {
-		t.SendBatch(from, to, msgs)
-		return
-	}
+	t.send(shard, from, to, msgs)
+}
+
+// send is the one egress path behind every exported send: the run is
+// delivered to a local node under one binder lock, or encoded into the
+// connection's coalescing writer in one pass (no syscall until the
+// flusher wakes). Shard 0 is the flat namespace — its frames carry no
+// shard tag, its binder is the one Bind installs and its codec context
+// is the connection's own stream — so flat traffic is byte-for-byte
+// the legacy single-universe encoding; shards above ride a shard tag
+// ahead of the unchanged frame header.
+func (t *TCP) send(shard int, from, to network.NodeID, msgs []network.Message) {
 	if len(msgs) == 0 {
 		return
 	}
@@ -498,94 +459,18 @@ func (t *TCP) SendShardBatch(shard int, from, to network.NodeID, msgs []network.
 	}
 	oc := t.connFor(to)
 	if oc == nil {
-		return
+		return // closed or unreachable; error recorded
 	}
 	strm := oc.shardStream(shard)
 	for _, m := range msgs {
+		// Owned-frame egress: each frame is encoded once, into a pooled
+		// buffer the coalescing writer writes from directly and
+		// releases after the flush — no copy between encode and syscall.
 		buf := wire.GetFrame(256)[:wire.FrameDataOff]
 		buf = wire.AppendShardTag(buf, shard)
 		buf = binary.AppendVarint(buf, int64(from))
 		buf = binary.AppendVarint(buf, int64(to))
 		frame, err := wire.AppendStream(buf, m, strm)
-		if err != nil {
-			wire.ReleaseFrame(frame)
-			t.fail(err)
-			return
-		}
-		if !oc.co.AppendOwned(frame, wire.FinishFrame(frame)) {
-			return
-		}
-	}
-}
-
-// Send implements Transport.
-func (t *TCP) Send(from, to network.NodeID, m network.Message) {
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	t.stats.count(m.Kind())
-	if t.local[to] {
-		t.binder.deliver(to, from, m)
-		return
-	}
-	oc := t.connFor(to)
-	if oc == nil {
-		return // closed or unreachable; error recorded
-	}
-	// Owned-frame egress: the frame is encoded once, into a pooled
-	// buffer the coalescing writer writes from directly and releases
-	// after the flush — no copy between encode and syscall.
-	buf := wire.GetFrame(256)[:wire.FrameDataOff]
-	buf = binary.AppendVarint(buf, int64(from))
-	buf = binary.AppendVarint(buf, int64(to))
-	frame, err := wire.AppendStream(buf, m, oc.strm)
-	if err != nil {
-		wire.ReleaseFrame(frame)
-		t.fail(err)
-		return
-	}
-	oc.co.AppendOwned(frame, wire.FinishFrame(frame))
-}
-
-// SendBatch implements BatchSender: the run is encoded into the
-// connection's coalescing writer in one pass (one pooled scratch
-// buffer, no syscall until the flusher wakes), or delivered to a local
-// node under one binder lock.
-func (t *TCP) SendBatch(from, to network.NodeID, msgs []network.Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	if to < 0 || int(to) >= t.n {
-		panic(fmt.Sprintf("transport: send to invalid node %d", to))
-	}
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	for _, m := range msgs {
-		t.stats.count(m.Kind())
-	}
-	if t.local[to] {
-		t.binder.deliverBatch(to, from, msgs)
-		return
-	}
-	oc := t.connFor(to)
-	if oc == nil {
-		return
-	}
-	for _, m := range msgs {
-		// One owned pooled buffer per frame: ownership passes to the
-		// coalescing writer, which releases it after the flush.
-		buf := wire.GetFrame(256)[:wire.FrameDataOff]
-		buf = binary.AppendVarint(buf, int64(from))
-		buf = binary.AppendVarint(buf, int64(to))
-		frame, err := wire.AppendStream(buf, m, oc.strm)
 		if err != nil {
 			wire.ReleaseFrame(frame)
 			t.fail(err)
@@ -790,29 +675,12 @@ func (t *TCP) dialHandshake(c net.Conn) (negotiated, error) {
 // before Close's Wait.
 func (t *TCP) newOutConn(c net.Conn, hs negotiated) *outConn {
 	oc := &outConn{c: c, negotiated: hs.done, peer: hs.peer}
-	maxFrames := 0
-	if t.noBatch.Load() {
-		maxFrames = 1
-	}
-	oc.co = wire.NewCoalescer(c, maxFrames, func(err error) {
+	oc.co = wire.NewCoalescer(c, func(err error) {
 		t.writeFailed(oc, err)
 	})
 	useDelta := t.delta.Load()
-	vectored := !t.noVec.Load()
 	if hs.done {
 		useDelta = useDelta && hs.peer.Features&wire.FeatDelta != 0
-		vectored = vectored && hs.peer.Features&wire.FeatWritev != 0
-	}
-	if !vectored {
-		oc.co.SetVectored(false)
-	}
-	t.tuneMu.Lock()
-	fd, fdm := t.fDelay, t.fDelayM
-	t.tuneMu.Unlock()
-	if fdm > fd {
-		oc.co.SetFlushAdaptive(fd, fdm)
-	} else if fd > 0 {
-		oc.co.SetFlushDelay(fd)
 	}
 	if useDelta {
 		// Announce delta-encoded token state ahead of the first

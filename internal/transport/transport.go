@@ -26,7 +26,6 @@ package transport
 
 import (
 	"sync"
-	"time"
 
 	"mralloc/internal/network"
 )
@@ -58,10 +57,11 @@ type Transport interface {
 	Close() error
 }
 
-// WireOptions tunes the egress wire path of a socket transport. Every
-// knob is independently disableable so benchmarks can isolate each
-// optimization's effect, and the zero value of every field selects the
-// default behavior — setting one knob never silently flips another.
+// WireOptions tunes the wire path of a socket transport. The zero
+// value of every field selects the default behavior — setting one knob
+// never silently flips another. The egress policy itself is fixed:
+// flush on wakeup, batch whatever is queued, write envelopes vectored
+// (see wire.Coalescer).
 type WireOptions struct {
 	// Delta enables delta-encoded token state (wire.CtrlTokenDelta):
 	// connections dialed after the call announce the control and ship
@@ -69,18 +69,6 @@ type WireOptions struct {
 	// link must run a delta-aware build; leave it off to interoperate
 	// with pre-delta peers.
 	Delta bool
-	// NoVectored disables the writev egress for batched frames
-	// (on by default), restoring the copy-assemble flush for
-	// before/after runs.
-	NoVectored bool
-	// FlushDelay is the egress micro-delay: a flusher waking on a
-	// non-empty queue waits this long before draining, trading bounded
-	// latency for bigger batches. Zero flushes on wakeup.
-	FlushDelay time.Duration
-	// FlushDelayMax, when above FlushDelay, enables the adaptive
-	// scheduler: the delay widens toward FlushDelayMax while small
-	// flushes pile up under high fan-in and narrows back otherwise.
-	FlushDelayMax time.Duration
 	// Window is the receive window this endpoint announces in its hello
 	// (bytes the peer may have in flight before waiting for credit).
 	// Zero selects DefaultWindow; a negative value disables crediting

@@ -96,7 +96,7 @@ func (c *VecShortConn) SetWriteDeadline(time.Time) error { return nil }
 func TestVectoredEgressShortWrites(t *testing.T) {
 	const n, msgs = 4, 150
 	conn := NewVecShortConn(7)
-	co := wire.NewCoalescer(conn, 0, func(err error) { t.Errorf("write error: %v", err) })
+	co := wire.NewCoalescer(conn, func(err error) { t.Errorf("write error: %v", err) })
 
 	for s := int64(1); s <= msgs; s++ {
 		buf := wire.GetFrame(256)[:wire.FrameDataOff]

@@ -156,7 +156,7 @@ func TestCoalescerStreamDecodesInOrder(t *testing.T) {
 		payloads = append(payloads, []byte(fmt.Sprintf("payload-%03d", i)))
 	}
 	var sink bytes.Buffer
-	co := wire.NewCoalescer(&sink, 0, nil)
+	co := wire.NewCoalescer(&sink, nil)
 	appendAll(t, co, payloads)
 
 	got, err := collect(t, sink.Bytes(), 1<<20)
@@ -183,26 +183,6 @@ func TestCoalescerStreamDecodesInOrder(t *testing.T) {
 	}
 }
 
-// TestCoalescerMaxFramesOne: the no-batching mode must emit a pure
-// legacy stream — no envelope markers — one flush per frame.
-func TestCoalescerMaxFramesOne(t *testing.T) {
-	payloads := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc")}
-	var sink bytes.Buffer
-	co := wire.NewCoalescer(&sink, 1, nil)
-	appendAll(t, co, payloads)
-	var want []byte
-	for _, p := range payloads {
-		want = wire.AppendFrame(want, p)
-	}
-	if !bytes.Equal(sink.Bytes(), want) {
-		t.Fatalf("stream %x, want legacy %x", sink.Bytes(), want)
-	}
-	st := co.Stats()
-	if st.Batches != 0 || st.Frames != 3 || st.Flushes != 3 {
-		t.Fatalf("no-batching stats %+v", st)
-	}
-}
-
 // shortWriter writes at most k bytes per call and (wrongly) reports no
 // error on the short write — the io.Writer contract violation the
 // coalescer must tolerate rather than silently drop a suffix.
@@ -224,7 +204,7 @@ func TestCoalescerToleratesShortWrites(t *testing.T) {
 		payloads = append(payloads, bytes.Repeat([]byte{byte(i)}, 50+i))
 	}
 	w := &shortWriter{k: 7}
-	co := wire.NewCoalescer(w, 0, nil)
+	co := wire.NewCoalescer(w, nil)
 	appendAll(t, co, payloads)
 	got, err := collect(t, w.sink.Bytes(), 1<<20)
 	if err != nil {
@@ -260,7 +240,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestCoalescerReportsWriteError(t *testing.T) {
 	errc := make(chan error, 1)
-	co := wire.NewCoalescer(&errWriter{n: 3}, 0, func(err error) { errc <- err })
+	co := wire.NewCoalescer(&errWriter{n: 3}, func(err error) { errc <- err })
 	co.Append(bytes.Repeat([]byte{1}, 100))
 	if err := <-errc; err == nil {
 		t.Fatal("onErr not called")
@@ -281,7 +261,7 @@ func TestCoalescerConcurrentAppends(t *testing.T) {
 		defer mu.Unlock()
 		return sink.Write(p)
 	})
-	co := wire.NewCoalescer(lockedSink, 0, nil)
+	co := wire.NewCoalescer(lockedSink, nil)
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

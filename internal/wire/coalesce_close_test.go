@@ -1,10 +1,13 @@
 package wire_test
 
 import (
+	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"mralloc/internal/leakcheck"
 	"mralloc/internal/wire"
 )
 
@@ -32,7 +35,7 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 // abandoned flusher must still exit cleanly once the write unblocks.
 func TestCloseWithinBoundedByDeadline(t *testing.T) {
 	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
-	co := wire.NewCoalescer(w, 0, nil)
+	co := wire.NewCoalescer(w, nil)
 	if !co.Append([]byte("stuck")) {
 		t.Fatal("append refused")
 	}
@@ -66,7 +69,7 @@ func TestCloseWithinBoundedByDeadline(t *testing.T) {
 func TestCloseWithinDrainsQueued(t *testing.T) {
 	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
 	close(w.release) // healthy: writes return immediately
-	co := wire.NewCoalescer(w, 0, nil)
+	co := wire.NewCoalescer(w, nil)
 	for i := 0; i < 10; i++ {
 		if !co.Append([]byte("frame")) {
 			t.Fatal("append refused")
@@ -78,4 +81,100 @@ func TestCloseWithinDrainsQueued(t *testing.T) {
 	if st := co.Stats(); st.Frames != 10 {
 		t.Fatalf("flushed %d frames before close, want 10", st.Frames)
 	}
+}
+
+// TestCloseIdleLeaksNothing: a coalescer that never saw a frame parks
+// its flusher on the idle wait; Close must wake and join it.
+func TestCloseIdleLeaksNothing(t *testing.T) {
+	check := leakcheck.Check(t)
+	var sink bytes.Buffer
+	co := wire.NewCoalescer(&sink, nil)
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Len() != 0 {
+		t.Fatalf("idle Close wrote %d bytes", sink.Len())
+	}
+	check()
+}
+
+// TestCloseFlushesQueuedThenExits: frames queued behind a write in
+// progress when Close commits must still be written — as one batch
+// flush — before the flusher exits.
+func TestCloseFlushesQueuedThenExits(t *testing.T) {
+	check := leakcheck.Check(t)
+	var mu sync.Mutex
+	var sink bytes.Buffer
+	entered, release := make(chan struct{}), make(chan struct{})
+	first := true
+	w := writerFunc(func(p []byte) (int, error) {
+		if first {
+			first = false
+			close(entered)
+			<-release
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return sink.Write(p)
+	})
+	co := wire.NewCoalescer(w, nil)
+	if !co.Append([]byte{0, 1, 2}) {
+		t.Fatal("Append refused")
+	}
+	<-entered // the flusher is stuck writing frame 0
+	for i := 1; i <= 5; i++ {
+		if !co.Append([]byte{byte(i), 1, 2}) {
+			t.Fatal("Append refused")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- co.Close() }()
+	close(release)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the write unblocked")
+	}
+	mu.Lock()
+	stream := append([]byte(nil), sink.Bytes()...)
+	mu.Unlock()
+	frames, err := collect(t, stream, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 6 {
+		t.Fatalf("%d frames written, want 6 (queued frames dropped on Close)", len(frames))
+	}
+	for i, f := range frames {
+		if f[0] != byte(i) {
+			t.Fatalf("frame %d carries %d: reordered on Close", i, f[0])
+		}
+	}
+	if st := co.Stats(); st.Flushes != 2 || st.Batches != 1 {
+		t.Errorf("want the lone frame then one batch of the queued five: %+v", st)
+	}
+	check()
+}
+
+// TestCloseAfterErrorLeaksNothing: once a write fails the flusher
+// exits; frames appended later are refused and Close reports the
+// error without waiting on anything.
+func TestCloseAfterErrorLeaksNothing(t *testing.T) {
+	check := leakcheck.Check(t)
+	errc := make(chan error, 1)
+	co := wire.NewCoalescer(&errWriter{n: 1}, func(err error) { errc <- err })
+	co.Append(bytes.Repeat([]byte{7}, 64))
+	if err := <-errc; err == nil {
+		t.Fatal("onErr not called")
+	}
+	if co.Append([]byte{1}) {
+		t.Fatal("Append accepted after failure")
+	}
+	if err := co.Close(); err == nil {
+		t.Fatal("Close reported no error")
+	}
+	check()
 }

@@ -64,7 +64,7 @@ func TestByteBudgetBoundsQueue(t *testing.T) {
 	const frames = 100 // 100 × ~257B ≫ budget: pre-budget behavior grows unboundedly
 
 	g := newGateWriter()
-	co := wire.NewCoalescer(g, 0, nil)
+	co := wire.NewCoalescer(g, nil)
 	co.SetByteBudget(budget)
 
 	var appended atomic.Int64
@@ -122,7 +122,7 @@ func TestByteBudgetBoundsQueue(t *testing.T) {
 // blocked on the budget (it then reports refusal), never deadlock.
 func TestCloseUnblocksBudgetedAppender(t *testing.T) {
 	g := newGateWriter()
-	co := wire.NewCoalescer(g, 0, nil)
+	co := wire.NewCoalescer(g, nil)
 	co.SetByteBudget(512)
 
 	refused := make(chan bool, 1)
@@ -152,17 +152,23 @@ func TestCreditWindowGatesWrites(t *testing.T) {
 	const window = 1024
 	g := newGateWriter()
 	g.release() // writer never blocks; only credit gates progress
-	co := wire.NewCoalescer(g, 1, nil)
+	co := wire.NewCoalescer(g, nil)
 	co.SetWindow(window)
 
 	payload := make([]byte, 200)
 	for i := 0; i < 20; i++ { // ~4KB total against a 1KB window
+		// Until the window runs dry, let each frame flush alone before
+		// queueing the next: a batch envelope may overshoot the window
+		// by up to one group, which would blur where the stall sets in.
+		before := g.written.Load()
 		if !co.Append(payload) {
 			t.Fatal("append refused")
 		}
+		eventually(t, "frame written or credit stall", func() bool {
+			return g.written.Load() > before || co.Stats().Stalls > 0
+		})
 	}
 	// Writes must stall at (roughly) the window, not run to 4KB.
-	eventually(t, "first window written", func() bool { return g.written.Load() > window/2 })
 	time.Sleep(20 * time.Millisecond)
 	if w := g.written.Load(); w > window+512 {
 		t.Fatalf("wrote %d bytes with only %d credit", w, window)

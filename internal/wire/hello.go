@@ -31,20 +31,18 @@ const ProtoVersion = 1
 // connection only when both hellos carry its bit (Intersect), which is
 // what lets heterogeneous builds interoperate: the connection degrades
 // to the common subset instead of desynchronizing.
+//
+// Bits 2, 4 and 8 are retired and must never be reused. Older builds
+// announced 2 (vectored egress) and 4 (flush delay) — both purely
+// sender-local, so no peer ever acted on them — and reserved 8 for a
+// compressed envelope that was never built. Such peers are still on
+// the wire and keep setting the first two; a new meaning for either
+// bit would be switched on against them by mistake. Receivers ignore
+// the retired bits.
 const (
 	// FeatDelta: the sender can decode delta-encoded token state
 	// (CtrlTokenDelta payloads).
-	FeatDelta uint64 = 1 << iota
-	// FeatWritev: vectored (writev) egress. Purely a sender-local
-	// optimization — advertised for introspection and symmetric
-	// negotiation, never required for decoding.
-	FeatWritev
-	// FeatFlushDelay: the adaptive flush scheduler. Sender-local, like
-	// FeatWritev.
-	FeatFlushDelay
-	// FeatCompress is reserved for a future compressed-envelope format;
-	// no current build sets it.
-	FeatCompress
+	FeatDelta uint64 = 1
 )
 
 // Hello is the negotiation announcement either side of a connection

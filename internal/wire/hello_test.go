@@ -14,7 +14,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		Version:   wire.ProtoVersion,
 		Nodes:     512,
 		Resources: 80,
-		Features:  wire.FeatDelta | wire.FeatWritev | wire.FeatFlushDelay,
+		Features:  wire.FeatDelta,
 		Window:    8 << 20,
 	}
 	got, err := wire.ParseHello(wire.AppendHello(nil, h))
