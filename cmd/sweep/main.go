@@ -1,5 +1,5 @@
-// Command sweep runs the extension and ablation experiments of
-// DESIGN.md:
+// Command sweep runs the extension (E) and ablation (A) experiments
+// defined in internal/experiments:
 //
 //	sweep -exp threshold   # E1: loan threshold (the paper's future work)
 //	sweep -exp cloud       # E2: two-zone hierarchical topology

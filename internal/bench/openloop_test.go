@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -24,33 +22,9 @@ func TestOpenLoopConfigValidation(t *testing.T) {
 	}
 }
 
-func TestMergeReportsKeepsPriorRows(t *testing.T) {
-	prior := Report{
-		Schema:  Schema,
-		Notes:   []string{"old note"},
-		Current: []Result{{Scenario: "a", NsPerOp: 1}, {Scenario: "b", NsPerOp: 2}},
-		Deltas:  []Delta{{Scenario: "a", NsRatio: 1}},
-	}
-	next := Report{
-		Notes:   []string{"old note", "new note"},
-		Current: []Result{{Scenario: "b", NsPerOp: 99}, {Scenario: "c", NsPerOp: 3}},
-		Deltas:  []Delta{{Scenario: "c", NsRatio: 2}},
-	}
-	got := MergeReports(prior, next)
-	if len(got.Current) != 3 || got.Current[0].Scenario != "a" || got.Current[1].NsPerOp != 2 || got.Current[2].Scenario != "c" {
-		t.Fatalf("merged rows wrong: %+v", got.Current)
-	}
-	if len(got.Notes) != 2 || got.Notes[1] != "new note" {
-		t.Fatalf("merged notes wrong: %v", got.Notes)
-	}
-	if len(got.Deltas) != 2 {
-		t.Fatalf("merged deltas wrong: %+v", got.Deltas)
-	}
-}
-
-// TestOpenLoopCollapseVsAdaptive is the tier's pinned claim: offered
-// load strictly past capacity collapses an unbounded FIFO queue (p99
-// at timeout scale) while the Adaptive policy sheds early and holds
+// TestOpenLoopCollapseVsAdaptive is the adaptive policy's twin
+// exhibit: offered load strictly past capacity collapses an unbounded
+// FIFO queue (p99 at timeout scale) while the Adaptive policy sheds early and holds
 // the survivors' p99 inside the SLO — at a goodput (grants within the
 // SLO) no worse than FIFO's, whose grants arrive too late to count.
 // The rate is placed relative to this machine's measured closed-loop
@@ -102,69 +76,35 @@ func TestOpenLoopCollapseVsAdaptive(t *testing.T) {
 	}
 }
 
-// TestOpenLoopSmoke is the CI regression gate over the committed
-// BENCH_4.json: the openloop rows must exist with the tier's columns
-// (schema drift fails), and a capped SLO search on this machine must
-// sustain at least 90% of min(committed adaptive slo_max_rps, cap).
-// The cap keeps the gate meaningful across hardware: it checks "the
-// fabric still sustains a modest rate within the SLO", not "this
-// runner is as fast as the one that wrote the report".
-func TestOpenLoopSmoke(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_4.json")
-	if err != nil {
-		t.Fatalf("committed report missing: %v", err)
-	}
-	var report Report
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_4.json: %v", err)
-	}
-	if report.Schema != Schema {
-		t.Fatalf("BENCH_4.json schema %q, want %q", report.Schema, Schema)
-	}
-	rows := map[string]Result{}
-	for _, r := range report.Current {
-		rows[r.Scenario] = r
-	}
-	var committedSLO float64
-	for _, s := range OpenLoopGrid() {
-		r, ok := rows[s.Name]
-		if !ok {
-			t.Errorf("BENCH_4.json lacks committed row %q", s.Name)
-			continue
-		}
-		switch {
-		case s.Name == "openloop/n4/adaptive/slo":
-			committedSLO = r.SLOMaxRPS
-			fallthrough
-		case s.Name == "openloop/n4/fifo/slo":
-			if r.SLOMaxRPS <= 0 {
-				t.Errorf("row %q has no slo_max_rps", s.Name)
-			}
-		default:
-			if r.OfferedRPS <= 0 || r.WaitP99MS <= 0 {
-				t.Errorf("row %q lacks tier columns (offered_rps=%v wait_p99_ms=%v)",
-					s.Name, r.OfferedRPS, r.WaitP99MS)
-			}
-		}
-	}
-	if t.Failed() || testing.Short() {
-		return
-	}
+const (
+	// committedAdaptiveSLO is the adaptive policy's highest offered
+	// rate sustained within the SLO, as recorded when the open-loop
+	// driver landed (commit b17abee: 24,000 RPS from a 1,000–32,000 RPS
+	// search).
+	committedAdaptiveSLO = 24000.0
+	// sloSearchCap caps TestOpenLoopSmoke's search and its floor, so
+	// the gate checks that the fabric still sustains a modest rate
+	// within the SLO, not that this machine is as fast as the one that
+	// made the record.
+	sloSearchCap = 6000.0
+)
 
-	const searchCap = 6000.0
-	want := committedSLO
-	if want > searchCap {
-		want = searchCap
+// TestOpenLoopSmoke is the adaptive capped SLO search: on this machine
+// the adaptive policy must sustain at least 90% of min(the recorded
+// rate, the search cap) within the SLO.
+func TestOpenLoopSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SLO search needs real wall-clock windows")
 	}
 	cfg := OpenLoopConfig{Nodes: 4, Policy: serve.Adaptive, AdmitTarget: openLoopAdmitTarget, Seed: 7,
 		Warmup: 200 * time.Millisecond, Window: 600 * time.Millisecond, Timeout: 500 * time.Millisecond}
-	slo, err := FindSLO(cfg, openLoopSLOTarget, 750, searchCap)
+	slo, err := FindSLO(cfg, openLoopSLOTarget, 750, sloSearchCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("adaptive sustains %.0f RPS within %v (goodput %.0f/s, p99 %.1fms, %d cells; committed %.0f)",
-		slo.MaxRPS, openLoopSLOTarget, slo.Goodput, slo.P99MS, slo.Cells, committedSLO)
-	if slo.MaxRPS < 0.9*want {
+	t.Logf("adaptive sustains %.0f RPS within %v (goodput %.0f/s, p99 %.1fms, %d cells; recorded %.0f)",
+		slo.MaxRPS, openLoopSLOTarget, slo.Goodput, slo.P99MS, slo.Cells, committedAdaptiveSLO)
+	if want := min(committedAdaptiveSLO, sloSearchCap); slo.MaxRPS < 0.9*want {
 		t.Errorf("sustained RPS at SLO regressed: %.0f < 90%% of %.0f", slo.MaxRPS, want)
 	}
 }

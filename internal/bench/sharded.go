@@ -2,10 +2,7 @@ package bench
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"testing"
+	"errors"
 	"time"
 
 	"mralloc/internal/core"
@@ -13,31 +10,24 @@ import (
 	"mralloc/internal/metrics"
 )
 
-// The sharded tier: the same contended workload on the same cluster
+// The sharded twins: the same contended workload on the same cluster
 // shape (N nodes, M resources, the in-process fabric with a fixed
-// per-link delivery latency), varying only the shard count G. The
-// latency fabric serializes each (shard, sender, destination) link —
-// one delivery per 200µs — so a flat universe funnels every block's
-// protocol traffic through one link pair while G shards pipeline G
-// link pairs; the tier prices exactly that, on one core, as critical
-// sections per second.
+// per-link delivery latency), varying only the shard count G or the
+// cross-shard strategy. The latency fabric serializes each (shard,
+// sender, destination) link — one delivery per 200µs — so a flat
+// universe funnels every block's protocol traffic through one link
+// pair while G shards pipeline G link pairs; the twins price exactly
+// that as critical sections per second.
 //
 // The workload is identical across G: the M=64 universe is cut into 16
 // G16-aligned blocks of 4, every draw stays inside its worker's block
-// (single rows) or spans a fixed block pair (cross rows), and the
-// resource ids drawn at iteration i do not depend on G. Two workers
+// (single draws) or spans a fixed block pair (cross draws), and the
+// resource ids drawn at operation i do not depend on G. Two workers
 // per block — one per node — contend for it, so tokens ping-pong over
 // the fabric on every critical section and the links stay on the
 // critical path; without the contention the loan protocol parks the
-// tokens locally and every row collapses to the message-free fast
+// tokens locally and every run collapses to the message-free fast
 // path.
-//
-// Cross rows span two blocks 8 apart, which land in different shards
-// at every G>1, and come in twins: ordered (ascending shard locking)
-// vs twophase (parallel submit, timed back-off). One op is one
-// granted-and-released acquisition; grants_per_op is 1 so cs_per_sec
-// is directly comparable across rows, and the wait quantiles are the
-// per-worker accumulators merged (metrics.Accum.Merge).
 const (
 	shardedM       = 64
 	shardedBlocks  = 16 // one block = one G16 shard
@@ -45,8 +35,8 @@ const (
 	shardedLatency = 200 * time.Microsecond
 )
 
-// shardedDraw yields worker w's resource pair at iteration i. The
-// draw must not depend on G — that is what makes rows comparable.
+// shardedDraw yields worker w's resource pair at operation i. The
+// draw must not depend on G — that is what makes runs comparable.
 type shardedDraw func(w int, i int64) (r1, r2 int)
 
 // singleDraw keeps both resources inside worker w's own block, so the
@@ -64,70 +54,57 @@ func crossDraw(w int, i int64) (int, int) {
 		(p+shardedBlocks/2)*shardedBlockSz + int(i)%shardedBlockSz
 }
 
-func shardedScenario(name string, g int, twoPhase bool, workers int, draw shardedDraw) Scenario {
-	return Scenario{Name: name, Run: func(b *testing.B) {
-		c, err := live.New(live.Config{
-			Nodes:              2,
-			Resources:          shardedM,
-			Latency:            shardedLatency,
-			Shards:             g,
-			CrossShardTwoPhase: twoPhase,
-		}, core.NewFactory(core.WithLoan()))
+// shardedResult is one run's throughput, protocol cost and acquire
+// wait (Acquire call to grant, milliseconds).
+type shardedResult struct {
+	csPerSec, msgsPerCS float64
+	wait                metrics.Summary
+}
+
+// runSharded drives workers callers through acquire/release cycles of
+// draw for d on a two-node latency-fabric cluster of g shards.
+func runSharded(g int, twoPhase bool, workers int, draw shardedDraw, d time.Duration) (shardedResult, error) {
+	c, err := live.New(live.Config{
+		Nodes:              2,
+		Resources:          shardedM,
+		Latency:            shardedLatency,
+		Shards:             g,
+		CrossShardTwoPhase: twoPhase,
+	}, core.NewFactory(core.WithLoan()))
+	if err != nil {
+		return shardedResult{}, err
+	}
+	defer c.Close()
+	ctx := context.Background()
+	msgs0 := sumStats(c.Stats())
+	// One accumulator per worker, merged after the run.
+	waits := make([]metrics.Accum, workers)
+	ops, elapsed, err := closedLoop(workers, d, func(w int, i int64) error {
+		r1, r2 := draw(w, i)
+		start := time.Now()
+		release, err := c.Acquire(ctx, w%2, r1, r2)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
-		defer c.Close()
-		ctx := context.Background()
-		base := sumStats(c.Stats())
-		accums := make([]*metrics.Accum, workers)
-		b.ReportAllocs()
-		b.ResetTimer()
-
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			acc := new(metrics.Accum)
-			accums[w] = acc
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(b.N) || failed.Load() {
-						return
-					}
-					r1, r2 := draw(w, i)
-					start := time.Now()
-					release, err := c.Acquire(ctx, w%2, r1, r2)
-					if err != nil {
-						// b.Fatal would Goexit a non-benchmark goroutine,
-						// which the testing package forbids.
-						b.Error(err)
-						failed.Store(true)
-						return
-					}
-					acc.Add(float64(time.Since(start)) / float64(time.Millisecond))
-					release()
-				}
-			}()
-		}
-		wg.Wait()
-		b.StopTimer()
-
-		var wait metrics.Accum
-		for _, a := range accums {
-			wait.Merge(a)
-		}
-		s := wait.Summary()
-		b.ReportMetric(s.Mean, "wait_mean_ms")
-		b.ReportMetric(s.P50, "wait_p50_ms")
-		b.ReportMetric(s.P95, "wait_p95_ms")
-		b.ReportMetric(s.P99, "wait_p99_ms")
-		b.ReportMetric(float64(sumStats(c.Stats())-base)/float64(b.N), "msg_per_cs")
-		b.ReportMetric(1, "grants_per_op")
-	}}
+		waits[w].Add(float64(time.Since(start)) / float64(time.Millisecond))
+		release()
+		return nil
+	})
+	if err != nil {
+		return shardedResult{}, err
+	}
+	if ops == 0 {
+		return shardedResult{}, errors.New("sharded: no critical section completed")
+	}
+	var wait metrics.Accum
+	for i := range waits {
+		wait.Merge(&waits[i])
+	}
+	return shardedResult{
+		csPerSec:  float64(ops) / elapsed.Seconds(),
+		msgsPerCS: float64(sumStats(c.Stats())-msgs0) / float64(ops),
+		wait:      wait.Summary(),
+	}, nil
 }
 
 func sumStats(m map[string]int64) int64 {
@@ -136,23 +113,4 @@ func sumStats(m map[string]int64) int64 {
 		total += v
 	}
 	return total
-}
-
-// ShardedGrid is the sharded tier: the single-shard workload at
-// G∈{1,4,16} (the parallel-allocators scaling claim), and the
-// cross-shard block-pair workload at G∈{4,16} under both composition
-// strategies.
-func ShardedGrid() []Scenario {
-	var out []Scenario
-	for _, g := range []int{1, 4, 16} {
-		out = append(out, shardedScenario(
-			fmt.Sprintf("sharded/g%d/single", g), g, false, 2*shardedBlocks, singleDraw))
-	}
-	for _, g := range []int{4, 16} {
-		out = append(out, shardedScenario(
-			fmt.Sprintf("sharded/g%d/cross/ordered", g), g, false, shardedBlocks, crossDraw))
-		out = append(out, shardedScenario(
-			fmt.Sprintf("sharded/g%d/cross/twophase", g), g, true, shardedBlocks, crossDraw))
-	}
-	return out
 }

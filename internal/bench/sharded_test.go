@@ -1,156 +1,86 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"strings"
 	"testing"
+	"time"
 )
 
-// TestShardedSmoke is the CI gate for the sharded tier: it measures
-// the G=1 and G=4 single-shard cells fresh — same machine, same run —
-// and fails if the G=4 speedup falls below 90% of min(committed
-// BENCH_6.json ratio, the 2.5× tier claim), or if the report schema
-// drifted. The gate compares the speedup ratio, not raw ns/op: the
-// ratio is what the tier claims (per-shard allocator parallelism) and
-// it is stable across machines where wall clock is not. The min()
-// keeps a fast committed record from tightening the gate, and the
-// best-of-three retry absorbs scheduler noise (the G=1 cell's egress
-// batching is timing-sensitive, so single samples jitter ~±20%).
-func TestShardedSmoke(t *testing.T) {
-	var g1, g4 Scenario
-	for _, c := range ShardedGrid() {
-		switch c.Name {
-		case "sharded/g1/single":
-			g1 = c
-		case "sharded/g4/single":
-			g4 = c
-		}
-	}
-	if g1.Run == nil || g4.Run == nil {
-		t.Fatal("sharded/g1/single or sharded/g4/single missing from the grid")
-	}
-	var r1, r4 Result
-	fresh := 0.0
-	for round := 0; round < 3 && fresh < 2.5; round++ {
-		r1, r4 = Measure(g1), Measure(g4)
-		for _, r := range []Result{r1, r4} {
-			if r.NsPerOp <= 0 || r.AllocsPerOp <= 0 {
-				t.Fatalf("%s: no wall-clock measurement: %+v", r.Scenario, r)
-			}
-			if r.MsgPerCS <= 0 {
-				t.Fatalf("%s: no protocol traffic — the contention pattern collapsed to the local fast path: %+v", r.Scenario, r)
-			}
-			if r.CSPerSec <= 0 {
-				t.Fatalf("%s: no cs_per_sec: %+v", r.Scenario, r)
-			}
-			if r.WaitP50MS > r.WaitP95MS || r.WaitP95MS > r.WaitP99MS {
-				t.Fatalf("%s: wait quantiles not monotone: %+v", r.Scenario, r)
-			}
-		}
-		if v := float64(r1.NsPerOp) / float64(r4.NsPerOp); v > fresh {
-			fresh = v
-		}
-		t.Logf("round %d: g1 %d ns/op, g4 %d ns/op, best speedup %.2f×", round, r1.NsPerOp, r4.NsPerOp, fresh)
-	}
+// shardedWindow is each sharded run's measured span.
+const shardedWindow = time.Second
 
-	// Regression gate against the committed report.
-	data, err := os.ReadFile("../../BENCH_6.json")
-	if err != nil {
-		t.Fatalf("committed report missing: %v", err)
-	}
-	var committed Report
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatalf("committed report unreadable: %v", err)
-	}
-	if committed.Schema != Schema {
-		t.Fatalf("committed schema %q, code says %q (schema drift)", committed.Schema, Schema)
-	}
-	var ref1, ref4 *Result
-	tierRows := 0
-	for i, row := range committed.Current {
-		if strings.HasPrefix(row.Scenario, "sharded/") {
-			tierRows++
-		}
-		switch row.Scenario {
-		case "sharded/g1/single":
-			ref1 = &committed.Current[i]
-		case "sharded/g4/single":
-			ref4 = &committed.Current[i]
-		}
-	}
-	if tierRows < 7 {
-		t.Fatalf("committed report has %d sharded rows, want the full 3-single + 2×2-cross tier", tierRows)
-	}
-	if ref1 == nil || ref4 == nil {
-		t.Fatal("committed report lacks the sharded/g{1,4}/single rows")
-	}
-	if ref1.CSPerSec <= 0 || ref4.CSPerSec <= 0 {
-		t.Fatalf("committed rows have no cs_per_sec: %+v / %+v", ref1, ref4)
-	}
-	ratio := float64(ref1.NsPerOp) / float64(ref4.NsPerOp)
-	if ratio < 2.5 {
-		t.Fatalf("committed G=4 speedup %.2f× below the 2.5× tier claim", ratio)
-	}
-	gate := ratio
-	if gate > 2.5 {
-		gate = 2.5
-	}
-	if fresh < gate*0.90 {
-		t.Fatalf("G=4 speedup regressed: best of 3 measured %.2f× vs gate %.2f× (90%% of min(committed %.2f×, claimed 2.5×))",
-			fresh, gate*0.90, ratio)
-	}
+const (
+	// committedG4Speedup is the G=4 single-shard twin's speedup over
+	// G=1 as recorded when shards landed (commit 522b876: 486288 vs
+	// 147558 ns per critical section, 3.30×).
+	committedG4Speedup = 3.30
+	// g4SpeedupClaim is the speedup the sharded design claims at G=4.
+	g4SpeedupClaim = 2.5
+)
 
-	// Schema drift gate: the measured row must round-trip with the
-	// tier's keys intact under the frozen schema string.
-	rep := NewReport([]Result{r4})
-	out, err := rep.Marshal()
-	if err != nil {
-		t.Fatal(err)
+func checkSharded(t *testing.T, name string, r shardedResult) {
+	t.Helper()
+	if r.csPerSec <= 0 {
+		t.Fatalf("%s: no critical sections: %+v", name, r)
 	}
-	var raw map[string]any
-	if err := json.Unmarshal(out, &raw); err != nil {
-		t.Fatal(err)
+	if r.msgsPerCS <= 0 {
+		t.Fatalf("%s: no protocol traffic — the contention pattern collapsed to the local fast path: %+v", name, r)
 	}
-	if raw["schema"] != Schema {
-		t.Fatalf("schema = %v, want %v", raw["schema"], Schema)
-	}
-	row := raw["current"].([]any)[0].(map[string]any)
-	for _, key := range []string{"scenario", "ns_per_op", "allocs_per_op", "msg_per_cs",
-		"grants_per_op", "cs_per_sec", "wait_mean_ms", "wait_p50_ms", "wait_p95_ms", "wait_p99_ms"} {
-		if _, ok := row[key]; !ok {
-			t.Errorf("report row missing %q (schema drift): %v", key, row)
-		}
+	if w := r.wait; w.P50 > w.P95 || w.P95 > w.P99 {
+		t.Fatalf("%s: wait quantiles not monotone: %+v", name, w)
 	}
 }
 
-// TestShardedCrossTwins smoke-runs the G=4 cross-shard twins: both
-// composition strategies must move real cross-shard traffic and report
-// sane waits. It asserts shape, not which twin wins — the ordering is
-// the committed report's story, not a per-machine invariant.
+// TestShardedSmoke is the G=4 vs G=1 twin: the same single-shard
+// workload at both shard counts, measured in the same run. It fails if
+// the best of three G=4 speedups falls below 90% of min(the recorded
+// speedup, the 2.5× claim). The ratio is what the design claims
+// (per-shard allocator parallelism) and it is stable across machines
+// where wall clock is not; the min() keeps a fast record from
+// tightening the gate, and best-of-three absorbs scheduler noise (the
+// G=1 run's egress batching is timing-sensitive, so single samples
+// jitter by about ±20%).
+func TestShardedSmoke(t *testing.T) {
+	run := func(g int) shardedResult {
+		r, err := runSharded(g, false, 2*shardedBlocks, singleDraw, shardedWindow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSharded(t, "single", r)
+		return r
+	}
+	best := 0.0
+	for round := 0; round < 3 && best < g4SpeedupClaim; round++ {
+		g1, g4 := run(1), run(4)
+		best = max(best, g4.csPerSec/g1.csPerSec)
+		t.Logf("round %d: g1 %.0f cs/s (%.2f msgs/cs), g4 %.0f cs/s (%.2f msgs/cs), best speedup %.2f×",
+			round, g1.csPerSec, g1.msgsPerCS, g4.csPerSec, g4.msgsPerCS, best)
+	}
+	if gate := 0.90 * min(committedG4Speedup, g4SpeedupClaim); best < gate {
+		t.Fatalf("G=4 speedup regressed: best of 3 measured %.2f× vs gate %.2f× (90%% of min(recorded %.2f×, claimed %.1f×))",
+			best, gate, committedG4Speedup, g4SpeedupClaim)
+	}
+}
+
+// TestShardedCrossTwins runs the G=4 cross-shard twins, ordered
+// (ascending shard locking) and two-phase (parallel submit, timed
+// back-off), in the same run, and logs each one's throughput and p99
+// wait. Both must move real cross-shard traffic with sane waits. It
+// asserts no winner: which twin wins depends on the machine and the
+// contention, and these logged pairs are the evidence for which
+// strategy should be the default (ordered is today).
 func TestShardedCrossTwins(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two benchmark cells in -short mode")
+		t.Skip("two sharded twins in -short mode")
 	}
-	var ordered, twophase Scenario
-	for _, c := range ShardedGrid() {
-		switch c.Name {
-		case "sharded/g4/cross/ordered":
-			ordered = c
-		case "sharded/g4/cross/twophase":
-			twophase = c
+	for _, tw := range []struct {
+		name     string
+		twoPhase bool
+	}{{"ordered", false}, {"twophase", true}} {
+		r, err := runSharded(4, tw.twoPhase, shardedBlocks, crossDraw, shardedWindow)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, s := range []Scenario{ordered, twophase} {
-		if s.Run == nil {
-			t.Fatal("cross twin missing from the grid")
-		}
-		r := Measure(s)
-		if r.NsPerOp <= 0 || r.CSPerSec <= 0 || r.MsgPerCS <= 0 {
-			t.Fatalf("%s: incomplete measurement: %+v", r.Scenario, r)
-		}
-		if r.WaitP50MS > r.WaitP95MS || r.WaitP95MS > r.WaitP99MS {
-			t.Fatalf("%s: wait quantiles not monotone: %+v", r.Scenario, r)
-		}
+		checkSharded(t, tw.name, r)
+		t.Logf("g4 cross %-8s %.0f cs/s, p99 wait %.2fms, %.2f msgs/cs", tw.name, r.csPerSec, r.wait.P99, r.msgsPerCS)
 	}
 }

@@ -8,7 +8,7 @@
 // sections of 5–35 ms, γ ≈ 0.6 ms network latency. The paper
 // parameterizes load by ρ = β/(α+γ) without publishing the exact values
 // for its "medium" and "high" regimes; this harness uses ρ = 1 and
-// ρ = 0.1 (see DESIGN.md).
+// ρ = 0.1.
 package experiments
 
 import (
@@ -154,7 +154,7 @@ func (p Point) factory() alg.Factory {
 // this value is calibrated so that a node saturates at a few thousand
 // messages per second, which is what makes the global control token of
 // Bouabdallah–Laforest queue under load — the effect the paper
-// measures. See DESIGN.md (substitutions) and EXPERIMENTS.md.
+// measures.
 const Proc = 600 * sim.Microsecond
 
 // Run executes one point at the given scale.

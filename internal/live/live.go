@@ -90,8 +90,8 @@ type Config struct {
 	// parallel and, when the full set cannot be assembled before the
 	// attempt times out, everything is handed back and the acquire
 	// retries after a jittered backoff. Two-phase trades the ordered
-	// walk's serial latency for retry work under contention; the bench
-	// measures both.
+	// walk's serial latency for retry work under contention;
+	// internal/bench's TestShardedCrossTwins measures both.
 	CrossShardTwoPhase bool
 	// Tick, when positive, drives time-based protocol machinery: every
 	// local node implementing alg.Ticker gets a Tick in its event loop

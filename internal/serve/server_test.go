@@ -300,6 +300,56 @@ func TestClientProtocolStress(t *testing.T) {
 	}
 }
 
+// TestClientPortCoalescesOverLoopback drives concurrent sessions of
+// one Client through a client port on a real socket: the coalescing
+// writers at both ends must carry the traffic, at least one frame per
+// flush, with a batch histogram of their flushes, and the grants must
+// have cost the cluster protocol messages.
+func TestClientPortCoalescesOverLoopback(t *testing.T) {
+	const nodes, m, sessions, ops = 4, 32, 8, 50
+	c, srv := startServer(t, nodes, m, serve.FIFO)
+	cl, err := serve.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				r1 := (i + w*7) % m
+				release, err := cl.Acquire(context.Background(), serve.AnyNode, r1, (r1+11)%m)
+				if err != nil {
+					t.Errorf("session %d op %d: %v", w, i, err)
+					return
+				}
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	for side, st := range map[string]wire.CoalescerStats{"server": srv.WireStats(), "client": cl.WireStats()} {
+		if st.Writes <= 0 || st.Bytes <= 0 || st.Flushes <= 0 {
+			t.Errorf("%s: no egress recorded: %+v", side, st)
+		}
+		if st.Frames < st.Flushes {
+			t.Errorf("%s: %d frames over %d flushes, below one per flush", side, st.Frames, st.Flushes)
+		}
+		if st.HistString() == "" {
+			t.Errorf("%s: empty batch histogram: %+v", side, st)
+		}
+	}
+	var msgs int64
+	for _, v := range c.Stats() {
+		msgs += v
+	}
+	if msgs <= 0 {
+		t.Error("no protocol messages recorded")
+	}
+}
+
 // TestMaxQueueDeniesWithOverloaded: once a node's waiting requests hit
 // the MaxQueue bound, further acquires must be denied immediately with
 // the distinct overload code (errors.Is ErrOverloaded on the client),

@@ -18,8 +18,8 @@
 //     access to arbitrary subsets of M resources with no global lock
 //     and no prior knowledge of the conflict graph.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// README.md maps the packages behind both (its "Architecture map"
+// section); cmd/paperfig and cmd/sweep regenerate the evaluation.
 package mralloc
 
 import (
